@@ -15,14 +15,6 @@
 namespace relserve {
 namespace {
 
-InferencePlan AllUdf(const Model& model) {
-  InferencePlan plan;
-  for (const Node& node : model.nodes()) {
-    plan.decisions.push_back(NodeDecision{node.id, Repr::kUdf, 0});
-  }
-  return plan;
-}
-
 int Run() {
   const int repeats = bench::RepeatsFromEnv();
   const int64_t batch = 4096;
@@ -32,8 +24,9 @@ int Run() {
 
   auto model = BuildFFNN("m", {256, 1024, 1024, 16}, 1);
   if (!model.ok()) return 1;
-  auto prepared = PreparedModel::Prepare(&*model, AllUdf(*model), &ctx);
-  if (!prepared.ok()) return 1;
+  auto plan = PhysicalPlan::Compile(
+      &*model, MakeForcedPlan(*model, Repr::kUdf, batch), &ctx);
+  if (!plan.ok()) return 1;
   auto input = workloads::GenBatch(batch, Shape{256}, 7);
   if (!input.ok()) return 1;
 
@@ -42,17 +35,31 @@ int Run() {
               static_cast<long long>(batch));
   bench::PrintRow({"Mode", "MicroBatch", "Latency(s)", "PeakArena"});
   bench::PrintRule(4);
+  const std::string stages = std::to_string((*plan)->stages().size());
+  auto report = [&](const std::string& mode, int64_t micro,
+                    const Result<double>& latency) {
+    bench::PrintRow({mode, mode == "whole-batch" ? "-"
+                                                 : std::to_string(micro),
+                     bench::Cell(latency),
+                     bench::HumanBytes(tracker.peak_bytes())});
+    bench::PrintBenchJson(
+        "pipeline",
+        {{"mode", bench::JsonStr(mode)},
+         {"micro_batch", std::to_string(micro)},
+         {"latency_s",
+          latency.ok() ? bench::JsonNum(*latency) : std::string("null")},
+         {"peak_arena_bytes", std::to_string(tracker.peak_bytes())},
+         {"stages", stages}});
+  };
 
   tracker.ResetPeak();
   auto whole = bench::TimeBest(repeats, [&]() -> Status {
     RELSERVE_ASSIGN_OR_RETURN(ExecOutput out,
-                              HybridExecutor::Run(*prepared, *input,
-                                                  &ctx));
+                              HybridExecutor::Run(**plan, *input, &ctx));
     (void)out;
     return Status::OK();
   });
-  bench::PrintRow({"whole-batch", "-", bench::Cell(whole),
-                   bench::HumanBytes(tracker.peak_bytes())});
+  report("whole-batch", batch, whole);
 
   for (int64_t micro : {64, 256, 1024}) {
     tracker.ResetPeak();
@@ -60,14 +67,11 @@ int Run() {
     config.micro_batch_rows = micro;
     auto piped = bench::TimeBest(repeats, [&]() -> Status {
       RELSERVE_ASSIGN_OR_RETURN(
-          Tensor out,
-          PipelineExecutor::Run(*prepared, *input, &ctx, config));
+          Tensor out, PipelineExecutor::Run(**plan, *input, &ctx, config));
       (void)out;
       return Status::OK();
     });
-    bench::PrintRow({"pipelined", std::to_string(micro),
-                     bench::Cell(piped),
-                     bench::HumanBytes(tracker.peak_bytes())});
+    report("pipelined", micro, piped);
   }
   std::printf(
       "\nExpected shape: pipelining bounds peak memory near "

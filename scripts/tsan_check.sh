@@ -49,10 +49,14 @@ UBSAN_DIR="${2:-build-ubsan}"
 # lifecycle) under TSan, and its CRC-then-memcmp byte comparison over
 # raw page payloads under UBSan; serving_concurrency_test's churn case
 # races Deploy/Undeploy against in-flight Predicts over shared blocks.
+# pipeline_test runs the Sec. 5(2) stage pipeline: one worker thread
+# per compiled stage, all recording into the plan's shared StageStats
+# and the context's ExecStats atomics, handing micro-batches over
+# bounded queues, with and without a shared intra-op pool.
 TSAN_TESTS=(resource_test storage_test dedup_test block_ops_test
             kernels_test executor_test serving_concurrency_test
             chaos_test columnar_test quantized_kernels_test
-            net_serving_test mvcc_test wal_recovery_test)
+            net_serving_test mvcc_test wal_recovery_test pipeline_test)
 UBSAN_TESTS=(kernels_test tensor_test block_ops_test executor_test
             plan_text_test chaos_test columnar_test dedup_test
             quantized_kernels_test net_serving_test wal_recovery_test)

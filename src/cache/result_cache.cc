@@ -6,20 +6,25 @@
 
 namespace relserve {
 
-ApproxResultCache::ApproxResultCache(int dim, Config config)
-    : config_(config) {
+namespace {
+
+std::unique_ptr<AnnIndex> MakeIndex(
+    int dim, const ApproxResultCache::Config& config) {
   switch (config.index_kind) {
-    case IndexKind::kHnsw:
-      index_ = std::make_unique<HnswIndex>(dim, config.hnsw);
-      break;
-    case IndexKind::kIvf:
-      index_ = std::make_unique<IvfIndex>(dim, config.ivf);
-      break;
-    case IndexKind::kLsh:
-      index_ = std::make_unique<LshIndex>(dim, config.lsh);
+    case ApproxResultCache::IndexKind::kIvf:
+      return std::make_unique<IvfIndex>(dim, config.ivf);
+    case ApproxResultCache::IndexKind::kLsh:
+      return std::make_unique<LshIndex>(dim, config.lsh);
+    case ApproxResultCache::IndexKind::kHnsw:
       break;
   }
+  return std::make_unique<HnswIndex>(dim, config.hnsw);
 }
+
+}  // namespace
+
+ApproxResultCache::ApproxResultCache(int dim, Config config)
+    : config_(config), index_(MakeIndex(dim, config)) {}
 
 std::string ExactResultCache::Key(const std::vector<float>& features) {
   return std::string(reinterpret_cast<const char*>(features.data()),
@@ -96,6 +101,7 @@ Status ApproxResultCache::Insert(const std::vector<float>& features,
     }
     predictions_.push_back(std::move(prediction));
     versions_.push_back(version);
+    newest_ = std::max(newest_, version);
   }
   stats_.insertions += 1;
   return Status::OK();
@@ -124,6 +130,18 @@ void ApproxResultCache::Invalidate(uint64_t version) {
                                        std::memory_order_release,
                                        std::memory_order_relaxed)) {
   }
+  // Every entry stale: drop the whole graph instead of letting fenced
+  // nodes pile up (the index has no per-node removal).
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  if (versions_.empty() ||
+      newest_ >= fence_.load(std::memory_order_acquire)) {
+    return;
+  }
+  stats_.invalidations += static_cast<int64_t>(versions_.size());
+  index_ = MakeIndex(index_->dim(), config_);
+  predictions_.clear();
+  versions_.clear();
+  newest_ = 0;
 }
 
 namespace {

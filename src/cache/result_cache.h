@@ -134,10 +134,6 @@ class ApproxResultCache {
 
   ApproxResultCache(int dim, Config config);
 
-  // Bring-your-own index (any AnnIndex implementation).
-  ApproxResultCache(Config config, std::unique_ptr<AnnIndex> index)
-      : config_(config), index_(std::move(index)) {}
-
   Status Insert(const std::vector<float>& features,
                 std::vector<float> prediction);
   Status Insert(const std::vector<float>& features,
@@ -147,8 +143,11 @@ class ApproxResultCache {
       const std::vector<float>& features);
 
   // Version fence, same contract as ExactResultCache::Invalidate.
-  // Fenced entries stop hitting immediately; their ANN graph nodes
-  // remain (the index has no removal) and are skipped at lookup.
+  // Fenced entries stop hitting immediately. The index has no
+  // removal, so while some entry is still valid the fenced nodes
+  // remain and are skipped at lookup; once the fence passes the
+  // newest stamp every entry is stale, and the index is replaced by an
+  // empty one (the dropped entries count as invalidations).
   void Invalidate(uint64_t version);
 
   uint64_t fence() const {
@@ -160,7 +159,6 @@ class ApproxResultCache {
     std::shared_lock<std::shared_mutex> lock(mu_);
     return index_->size();
   }
-  const AnnIndex& index() const { return *index_; }
 
  private:
   Config config_;
@@ -170,6 +168,7 @@ class ApproxResultCache {
   std::unique_ptr<AnnIndex> index_;
   std::vector<std::vector<float>> predictions_;  // by index id
   std::vector<uint64_t> versions_;               // by index id
+  uint64_t newest_ = 0;  // highest stamp in versions_
   std::atomic<uint64_t> fence_{0};
   CacheStats stats_;
 };

@@ -25,7 +25,7 @@
 
 #include "common/result.h"
 #include "engine/exec_context.h"
-#include "engine/prepared_model.h"
+#include "engine/physical_plan.h"
 #include "graph/model.h"
 #include "resource/memory_tracker.h"
 #include "resource/thread_pool.h"
@@ -61,17 +61,14 @@ class ExternalRuntime {
   const Stats& stats() const { return stats_; }
 
  private:
-  struct LoadedModel {
-    const Model* model = nullptr;
-    std::unique_ptr<PreparedModel> prepared;
-  };
-
   MemoryTracker tracker_;
   ThreadPool* pool_;
   // Whole-tensor execution context over the runtime arena (no buffer
   // pool: a DL framework has no disk spilling).
   ExecContext ctx_;
-  std::map<std::string, LoadedModel> models_;
+  // Every node whole-tensor: the only mode a decoupled framework has
+  // here.
+  std::map<std::string, std::unique_ptr<PhysicalPlan>> models_;
   Stats stats_;
 };
 

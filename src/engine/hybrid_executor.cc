@@ -12,17 +12,6 @@ namespace relserve {
 
 namespace {
 
-// The runner's rolling activation: exactly one of tensor/store set.
-struct Activation {
-  Tensor tensor;
-  std::unique_ptr<BlockStore> store;
-  // Whether `tensor` is writable (false while it aliases the caller's
-  // input buffer).
-  bool owned = false;
-
-  bool blocked() const { return store != nullptr; }
-};
-
 // Blocked -> whole (or reshape a whole tensor to the expected shape).
 // Idempotent: compiled ReprTransition stages and the per-stage entry
 // guards both funnel through here, so a runtime representation drift
@@ -205,8 +194,8 @@ namespace {
 // the Ensure* helpers at most change its representation), which is
 // what makes the per-stage representation fallback sound: the stage
 // can be re-executed UDF-centric.
-Status RunStage(const PhysicalStage& stage, int64_t batch,
-                Activation* act, ExecContext* ctx) {
+Status RunStageKernel(const PhysicalStage& stage, int64_t batch,
+                      Activation* act, ExecContext* ctx) {
   switch (stage.kind) {
     case StageKind::kInputChunk:
       return EnsureBlocked(act, batch, ctx);
@@ -407,7 +396,7 @@ Status RunStageUdfFallback(const PhysicalStage& stage, int64_t batch,
     default:
       // Stages that already execute whole-tensor (maxpool under a
       // relational decision): retry the same path.
-      return RunStage(stage, batch, act, ctx);
+      return RunStageKernel(stage, batch, act, ctx);
   }
 }
 
@@ -422,37 +411,9 @@ bool IsStorageFailure(const Status& status) {
 
 Result<ExecOutput> RunPlan(const PhysicalPlan& plan, Activation act,
                            int64_t batch, ExecContext* ctx) {
-  using Clock = std::chrono::steady_clock;
-  constexpr auto kRelaxed = std::memory_order_relaxed;
-  for (const std::unique_ptr<PhysicalStage>& sp : plan.stages()) {
-    const PhysicalStage& stage = *sp;
-    const Clock::time_point start = Clock::now();
-    Status s = RunStage(stage, batch, &act, ctx);
-    if (!s.ok() && stage.repr == Repr::kRelational &&
-        IsStorageFailure(s)) {
-      // Graceful degradation: the relation-centric stage hit the
-      // (failing) storage tier; re-execute just this stage
-      // UDF-centric — same math, same bits, different physical plan.
-      s = RunStageUdfFallback(stage, batch, &act, ctx);
-      if (s.ok()) {
-        ctx->stats.repr_fallbacks.fetch_add(1, kRelaxed);
-        stage.stats.fallbacks.fetch_add(1, kRelaxed);
-      }
-    }
-    RELSERVE_RETURN_NOT_OK(s);
-    const int64_t nanos =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            Clock::now() - start)
-            .count();
-    stage.stats.invocations.fetch_add(1, kRelaxed);
-    stage.stats.nanos.fetch_add(nanos, kRelaxed);
-    stage.stats.rows.fetch_add(batch, kRelaxed);
-    stage.stats.bytes.fetch_add(
-        batch * stage.OutElemsPerRow() *
-            static_cast<int64_t>(sizeof(float)),
-        kRelaxed);
-    ctx->stats.stages_executed.fetch_add(1, kRelaxed);
-    ctx->stats.stage_nanos.fetch_add(nanos, kRelaxed);
+  for (const std::unique_ptr<PhysicalStage>& stage : plan.stages()) {
+    RELSERVE_RETURN_NOT_OK(
+        HybridExecutor::RunStage(*stage, batch, &act, ctx));
   }
 
   ExecOutput out;
@@ -472,6 +433,39 @@ Result<ExecOutput> RunPlan(const PhysicalPlan& plan, Activation act,
 
 }  // namespace
 
+Status HybridExecutor::RunStage(const PhysicalStage& stage,
+                                int64_t batch, Activation* act,
+                                ExecContext* ctx) {
+  using Clock = std::chrono::steady_clock;
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  const Clock::time_point start = Clock::now();
+  Status s = RunStageKernel(stage, batch, act, ctx);
+  if (!s.ok() && stage.repr == Repr::kRelational && IsStorageFailure(s)) {
+    // Graceful degradation: the relation-centric stage hit the
+    // (failing) storage tier; re-execute just this stage
+    // UDF-centric — same math, same bits, different physical plan.
+    s = RunStageUdfFallback(stage, batch, act, ctx);
+    if (s.ok()) {
+      ctx->stats.repr_fallbacks.fetch_add(1, kRelaxed);
+      stage.stats.fallbacks.fetch_add(1, kRelaxed);
+    }
+  }
+  RELSERVE_RETURN_NOT_OK(s);
+  const int64_t nanos =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                           start)
+          .count();
+  stage.stats.invocations.fetch_add(1, kRelaxed);
+  stage.stats.nanos.fetch_add(nanos, kRelaxed);
+  stage.stats.rows.fetch_add(batch, kRelaxed);
+  stage.stats.bytes.fetch_add(
+      batch * stage.OutElemsPerRow() * static_cast<int64_t>(sizeof(float)),
+      kRelaxed);
+  ctx->stats.stages_executed.fetch_add(1, kRelaxed);
+  ctx->stats.stage_nanos.fetch_add(nanos, kRelaxed);
+  return Status::OK();
+}
+
 Result<ExecOutput> HybridExecutor::Run(const PhysicalPlan& plan,
                                        const Tensor& input,
                                        ExecContext* ctx) {
@@ -484,12 +478,6 @@ Result<ExecOutput> HybridExecutor::Run(const PhysicalPlan& plan,
   return RunPlan(plan, std::move(act), input.shape().dim(0), ctx);
 }
 
-Result<ExecOutput> HybridExecutor::Run(const PreparedModel& prepared,
-                                       const Tensor& input,
-                                       ExecContext* ctx) {
-  return Run(prepared.physical(), input, ctx);
-}
-
 Result<ExecOutput> HybridExecutor::RunOnStore(
     const PhysicalPlan& plan, std::unique_ptr<BlockStore> input_store,
     ExecContext* ctx) {
@@ -500,12 +488,6 @@ Result<ExecOutput> HybridExecutor::RunOnStore(
   Activation act;
   act.store = std::move(input_store);
   return RunPlan(plan, std::move(act), batch, ctx);
-}
-
-Result<ExecOutput> HybridExecutor::RunOnStore(
-    const PreparedModel& prepared,
-    std::unique_ptr<BlockStore> input_store, ExecContext* ctx) {
-  return RunOnStore(prepared.physical(), std::move(input_store), ctx);
 }
 
 }  // namespace relserve

@@ -30,7 +30,6 @@
 #include "common/result.h"
 #include "engine/exec_context.h"
 #include "engine/physical_plan.h"
-#include "engine/prepared_model.h"
 #include "storage/block_store.h"
 #include "tensor/tensor.h"
 
@@ -51,12 +50,22 @@ struct ExecOutput {
   Result<Tensor> ToTensor(ExecContext* ctx) const;
 };
 
+// The rolling activation between compiled stages: exactly one of
+// tensor/store set.
+struct Activation {
+  Tensor tensor;
+  std::unique_ptr<BlockStore> store;
+  // Whether `tensor` is writable (false while it aliases the caller's
+  // input buffer).
+  bool owned = false;
+
+  bool blocked() const { return store != nullptr; }
+};
+
 class HybridExecutor {
  public:
   // `input` is the batched feature tensor, batch on dim 0, sample
   // dims matching the model's sample shape.
-  static Result<ExecOutput> Run(const PreparedModel& prepared,
-                                const Tensor& input, ExecContext* ctx);
   static Result<ExecOutput> Run(const PhysicalPlan& plan,
                                 const Tensor& input, ExecContext* ctx);
 
@@ -65,11 +74,16 @@ class HybridExecutor {
   // working arena and was streamed into the store straight from a
   // table scan, never materialized whole.
   static Result<ExecOutput> RunOnStore(
-      const PreparedModel& prepared,
-      std::unique_ptr<BlockStore> input_store, ExecContext* ctx);
-  static Result<ExecOutput> RunOnStore(
       const PhysicalPlan& plan, std::unique_ptr<BlockStore> input_store,
       ExecContext* ctx);
+
+  // Executes one compiled stage over `act` (`batch` rows), transforming
+  // it in place: the stage kernel, the UDF re-execution of a
+  // relation-centric stage after a storage failure, and the
+  // StageStats / ExecStats recording. Run is a loop of these calls;
+  // PipelineExecutor's stage workers make one per micro-batch.
+  static Status RunStage(const PhysicalStage& stage, int64_t batch,
+                         Activation* act, ExecContext* ctx);
 };
 
 }  // namespace relserve

@@ -179,10 +179,10 @@ class PhysicalPlan {
   };
 
   // Compiles the annotated logical plan: binds weights (resident /
-  // chunked per the representation decisions — may OOM exactly where
-  // PreparedModel::Prepare used to), lowers nodes to fused stages,
-  // and precomputes shapes and footprints. The model must outlive the
-  // plan.
+  // chunked per the representation decisions — OutOfMemory when even
+  // the resident set does not fit the arena), lowers nodes to fused
+  // stages, and precomputes shapes and footprints. The model must
+  // outlive the plan.
   static Result<std::unique_ptr<PhysicalPlan>> Compile(
       const Model* model, InferencePlan plan, ExecContext* ctx,
       Options options);
@@ -205,11 +205,6 @@ class PhysicalPlan {
     return output_sample_;
   }
 
-  // Whole-tensor weight bound for UDF-centric stages.
-  Result<const Tensor*> ResidentWeight(const std::string& name) const;
-  // Block relation of a relation-centric matmul weight.
-  Result<const BlockStore*> BlockedWeight(const std::string& name) const;
-
   // Deploy-time weight accounting (stable after Compile).
   const WeightFootprint& weight_footprint() const { return footprint_; }
 
@@ -230,9 +225,9 @@ class PhysicalPlan {
   Options options_;
   int num_fused_ops_ = 0;
   std::vector<int64_t> output_sample_;
-  // Weight residency (moved here from PreparedModel): whole tensors
-  // for UDF-centric consumers, block relations for relation-centric
-  // matmuls. Node-based maps: stage pointers stay valid across moves.
+  // Weight residency: whole tensors for UDF-centric consumers, block
+  // relations for relation-centric matmuls. Node-based maps: stage
+  // pointers stay valid across moves.
   std::map<std::string, Tensor> resident_;
   std::map<std::string, std::unique_ptr<BlockStore>> blocked_;
   // Deploy-time-compressed weight arms (the fp32 copy is NOT kept for

@@ -7,7 +7,7 @@
 #include <thread>
 #include <vector>
 
-#include "kernels/kernels.h"
+#include "engine/hybrid_executor.h"
 #include "resource/bounded_queue.h"
 
 namespace relserve {
@@ -16,7 +16,7 @@ namespace {
 
 struct Chunk {
   int64_t row_offset = 0;
-  Tensor data;  // [rows, sample dims of the producing node]
+  Activation act;  // whole tensor, [rows, sample dims of the stage]
 };
 
 using ChunkQueue = BoundedQueue<Chunk>;
@@ -38,100 +38,38 @@ class ErrorSlot {
   Status first_;
 };
 
-// Applies one operator to a micro-batch (whole-tensor, in place where
-// the op allows). `rows` is the chunk's batch dimension. `pool` adds
-// intra-chunk parallelism to the heavy kernels; null keeps the stage
-// serial.
-Result<Tensor> ApplyNode(const Model& model,
-                         const PreparedModel& prepared, const Node& node,
-                         Tensor chunk, int64_t rows,
-                         MemoryTracker* tracker, ThreadPool* pool) {
-  // Per-chunk shapes: cheap (O(nodes)) and exact for ragged tails.
-  RELSERVE_ASSIGN_OR_RETURN(std::vector<Shape> shapes,
-                            model.InferShapes(rows));
-  RELSERVE_ASSIGN_OR_RETURN(Tensor in,
-                            chunk.Reshape(shapes[node.input]));
-  switch (node.kind) {
-    case OpKind::kInput:
-      return Status::Internal("input node has no stage");
-    case OpKind::kMatMul: {
-      RELSERVE_ASSIGN_OR_RETURN(const Tensor* w,
-                                prepared.ResidentWeight(node.weight_name));
-      return kernels::MatMul(in, *w, /*transpose_b=*/true, tracker,
-                             pool);
-    }
-    case OpKind::kBiasAdd: {
-      RELSERVE_ASSIGN_OR_RETURN(const Tensor* bias,
-                                prepared.ResidentWeight(node.weight_name));
-      RELSERVE_RETURN_NOT_OK(kernels::BiasAddInPlace(&in, *bias));
-      return in;
-    }
-    case OpKind::kRelu:
-      kernels::ReluInPlace(&in);
-      return in;
-    case OpKind::kSoftmax:
-      RELSERVE_RETURN_NOT_OK(kernels::SoftmaxRowsInPlace(&in));
-      return in;
-    case OpKind::kConv2D: {
-      RELSERVE_ASSIGN_OR_RETURN(const Tensor* kernel,
-                                prepared.ResidentWeight(node.weight_name));
-      return kernels::Conv2D(in, *kernel, node.stride, tracker, pool);
-    }
-    case OpKind::kMaxPool:
-      return kernels::MaxPool2x2(in, tracker);
-    case OpKind::kFlatten:
-      return in.Reshape(shapes[node.id]);
-  }
-  return Status::Internal("unhandled op kind");
-}
-
 }  // namespace
 
-Result<Tensor> PipelineExecutor::Run(const PreparedModel& prepared,
+Result<Tensor> PipelineExecutor::Run(const PhysicalPlan& plan,
                                      const Tensor& input,
                                      ExecContext* ctx,
                                      PipelineConfig config) {
-  const Model& model = prepared.model();
   if (input.shape().ndim() < 1) {
     return Status::InvalidArgument("input must have a batch dimension");
   }
   if (config.micro_batch_rows <= 0 || config.queue_capacity <= 0) {
     return Status::InvalidArgument("bad pipeline configuration");
   }
-  for (const NodeDecision& d : prepared.plan().decisions) {
-    if (d.repr != Repr::kUdf) {
-      return Status::InvalidArgument(
-          "pipeline stages execute whole micro-batches; prepare the "
-          "model with the UDF representation");
-    }
+  if (!plan.logical_plan().AllUdf()) {
+    return Status::InvalidArgument(
+        "pipeline stages execute whole micro-batches; compile the "
+        "model with the UDF representation");
   }
-  const int64_t batch = input.shape().dim(0);
-  const int64_t sample_width = input.NumElements() / batch;
-  const int num_stages = static_cast<int>(model.nodes().size()) - 1;
+  const std::vector<std::unique_ptr<PhysicalStage>>& stages =
+      plan.stages();
+  const int num_stages = static_cast<int>(stages.size());
   if (num_stages < 1) {
     return Status::InvalidArgument("model has no operators");
   }
-  RELSERVE_ASSIGN_OR_RETURN(std::vector<Shape> out_shapes,
-                            model.InferShapes(batch));
+  const int64_t batch = input.shape().dim(0);
+  const int64_t sample_width = input.NumElements() / batch;
+  std::vector<int64_t> out_dims = {batch};
+  out_dims.insert(out_dims.end(), plan.output_sample().begin(),
+                  plan.output_sample().end());
   RELSERVE_ASSIGN_OR_RETURN(
       Tensor output,
-      Tensor::Create(out_shapes[model.output_node()], ctx->tracker));
+      Tensor::Create(Shape(std::move(out_dims)), ctx->tracker));
   const int64_t out_width = output.NumElements() / batch;
-
-  // Route kernel calls through the shared pool only when the pipeline
-  // itself leaves pool workers idle (fewer stages than threads);
-  // otherwise inter-stage parallelism already saturates the pool and
-  // intra-chunk morsels would only add dispatch overhead. The packed
-  // GEMM layer forks one morsel per mc-row macro-tile, so a chunk
-  // only fans out when micro_batch_rows spans several tiles —
-  // sub-tile chunks run inline on the stage thread regardless of this
-  // routing. ParallelFor task groups are per-call, so concurrent
-  // stages sharing the pool stay isolated.
-  ThreadPool* stage_pool = nullptr;
-  if (ctx->pool != nullptr &&
-      num_stages < ctx->pool->num_threads()) {
-    stage_pool = ctx->pool;
-  }
 
   // One queue feeding each stage plus one carrying the final output.
   std::vector<std::unique_ptr<ChunkQueue>> queues;
@@ -164,31 +102,27 @@ Result<Tensor> PipelineExecutor::Run(const PreparedModel& prepared,
       std::memcpy(chunk->data(),
                   input.data() + row * sample_width,
                   rows * sample_width * sizeof(float));
-      if (!queues[0]->Push(Chunk{row, std::move(*chunk)})) return;
+      Activation act{std::move(*chunk), nullptr, /*owned=*/true};
+      if (!queues[0]->Push(Chunk{row, std::move(act)})) return;
     }
     queues[0]->Close();
   });
 
-  // One worker per operator stage.
+  // One worker per compiled stage.
   for (int stage = 0; stage < num_stages; ++stage) {
     workers.emplace_back([&, stage]() {
-      const Node& node = model.node(stage + 1);
       while (true) {
         std::optional<Chunk> chunk = queues[stage]->Pop();
         if (!chunk.has_value()) break;  // upstream done or aborted
-        const int64_t rows = chunk->data.shape().dim(0);
-        Result<Tensor> out =
-            ApplyNode(model, prepared, node, std::move(chunk->data),
-                      rows, ctx->tracker, stage_pool);
-        if (!out.ok()) {
-          error.Set(out.status());
+        const int64_t rows = chunk->act.tensor.shape().dim(0);
+        Status s = HybridExecutor::RunStage(*stages[stage], rows,
+                                            &chunk->act, ctx);
+        if (!s.ok()) {
+          error.Set(std::move(s));
           abort_all();
           return;
         }
-        if (!queues[stage + 1]->Push(
-                Chunk{chunk->row_offset, std::move(*out)})) {
-          return;
-        }
+        if (!queues[stage + 1]->Push(std::move(*chunk))) return;
       }
       queues[stage + 1]->Close();
     });
@@ -198,9 +132,9 @@ Result<Tensor> PipelineExecutor::Run(const PreparedModel& prepared,
   while (true) {
     std::optional<Chunk> chunk = queues[num_stages]->Pop();
     if (!chunk.has_value()) break;
-    const int64_t rows = chunk->data.NumElements() / out_width;
+    const int64_t rows = chunk->act.tensor.NumElements() / out_width;
     std::memcpy(output.data() + chunk->row_offset * out_width,
-                chunk->data.data(),
+                chunk->act.tensor.data(),
                 rows * out_width * sizeof(float));
   }
   for (std::thread& w : workers) w.join();

@@ -182,6 +182,10 @@ void NetServer::AcceptAll(EventLoop* loop) {
     if (config_.max_connections > 0 &&
         live > config_.max_connections) {
       live_conns_.fetch_sub(1, std::memory_order_acq_rel);
+      // Published before the refusal is observable: a client that
+      // reads the typed frame (or EOF) must also see the count.
+      stats_.connections_refused.fetch_add(1,
+                                           std::memory_order_relaxed);
       // Typed refusal so the client can distinguish "server full"
       // from a network failure. Best-effort single write: if the
       // socket won't take the bytes we close regardless.
@@ -194,8 +198,6 @@ void NetServer::AcceptAll(EventLoop* loop) {
           &refusal);
       (void)io::WriteSome(fd, refusal.data(), refusal.size());
       ::close(fd);
-      stats_.connections_refused.fetch_add(1,
-                                           std::memory_order_relaxed);
       continue;
     }
     const int one = 1;

@@ -4,7 +4,6 @@
 #include <set>
 
 #include "engine/hybrid_executor.h"
-#include "engine/prepared_model.h"
 #include "storage/quantize.h"
 #include "workloads/datasets.h"
 
@@ -15,16 +14,14 @@ namespace {
 // Runs a model whole-tensor on `input` through the session's context.
 Result<Tensor> ProbeRun(ServingSession* session, const Model& model,
                         const Tensor& input) {
-  InferencePlan plan;
-  for (const Node& node : model.nodes()) {
-    plan.decisions.push_back(NodeDecision{node.id, Repr::kUdf, 0});
-  }
   ExecContext* ctx = session->exec_context();
   RELSERVE_ASSIGN_OR_RETURN(
-      PreparedModel prepared,
-      PreparedModel::Prepare(&model, std::move(plan), ctx));
+      std::unique_ptr<PhysicalPlan> plan,
+      PhysicalPlan::Compile(
+          &model, MakeForcedPlan(model, Repr::kUdf, input.shape().dim(0)),
+          ctx));
   RELSERVE_ASSIGN_OR_RETURN(ExecOutput out,
-                            HybridExecutor::Run(prepared, input, ctx));
+                            HybridExecutor::Run(*plan, input, ctx));
   return out.ToTensor(ctx);
 }
 

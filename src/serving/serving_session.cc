@@ -339,29 +339,25 @@ Result<const InferencePlan*> ServingSession::Deploy(
       plan = MakeForcedPlan(*model, Repr::kRelational, batch_size);
       break;
   }
-  // Prepare outside the registry lock, then swap atomically: queries
+  // Compile outside the registry lock, then swap atomically: queries
   // in flight keep serving the old deployment (their shared_ptr holds
   // it and its arena charge alive) and never observe a window with no
   // deployment at all. The old instance's weights leave the arena
   // when the last in-flight query drops its reference.
   RELSERVE_ASSIGN_OR_RETURN(
-      PreparedModel prepared,
-      PreparedModel::Prepare(model, std::move(plan), &ctx_));
-  auto deployment = std::make_shared<Deployment>();
-  deployment->plan = prepared.plan();
-  deployment->prepared =
-      std::make_unique<PreparedModel>(std::move(prepared));
-  const InferencePlan* installed_plan = &deployment->plan;
+      std::shared_ptr<const PhysicalPlan> compiled,
+      PhysicalPlan::Compile(model, std::move(plan), &ctx_));
+  const InferencePlan* installed_plan = &compiled->logical_plan();
   {
     std::unique_lock<std::shared_mutex> lock(registry_mu_);
-    deployments_[model_name] = std::move(deployment);
+    deployments_[model_name] = std::move(compiled);
   }
   return installed_plan;
 }
 
 Status ServingSession::Undeploy(const std::string& model_name) {
-  std::shared_ptr<Deployment> dropped;
-  std::map<std::string, std::shared_ptr<Deployment>> dropped_aot;
+  std::shared_ptr<const PhysicalPlan> dropped;
+  std::map<std::string, std::shared_ptr<const PhysicalPlan>> dropped_aot;
   {
     std::unique_lock<std::shared_mutex> lock(registry_mu_);
     const auto it = deployments_.find(model_name);
@@ -396,20 +392,16 @@ Result<int> ServingSession::DeployAot(
                                    config_.optimizer_tuning);
   // Compile the variants outside the registry lock; in-flight queries
   // keep serving the old generation until the swap below.
-  std::map<std::string, std::shared_ptr<Deployment>> variants;
+  std::map<std::string, std::shared_ptr<const PhysicalPlan>> variants;
   for (const int64_t batch : batch_sizes) {
     RELSERVE_ASSIGN_OR_RETURN(InferencePlan plan,
                               optimizer.Optimize(*model, batch));
     const std::string signature = PlanSignature(plan);
     if (variants.count(signature) > 0) continue;
     RELSERVE_ASSIGN_OR_RETURN(
-        PreparedModel prepared,
-        PreparedModel::Prepare(model, std::move(plan), &ctx_));
-    auto deployment = std::make_shared<Deployment>();
-    deployment->plan = prepared.plan();
-    deployment->prepared =
-        std::make_unique<PreparedModel>(std::move(prepared));
-    variants.emplace(signature, std::move(deployment));
+        std::shared_ptr<const PhysicalPlan> compiled,
+        PhysicalPlan::Compile(model, std::move(plan), &ctx_));
+    variants.emplace(signature, std::move(compiled));
   }
   const int compiled = static_cast<int>(variants.size());
   {
@@ -421,10 +413,7 @@ Result<int> ServingSession::DeployAot(
 
 Result<std::shared_ptr<const PhysicalPlan>>
 ServingSession::DeployedPhysicalPlan(const std::string& model_name) {
-  RELSERVE_ASSIGN_OR_RETURN(std::shared_ptr<Deployment> deployment,
-                            GetDeployment(model_name));
-  return std::shared_ptr<const PhysicalPlan>(
-      deployment, &deployment->prepared->physical());
+  return GetDeployment(model_name);
 }
 
 int ServingSession::NumAotPlans(const std::string& model_name) const {
@@ -441,24 +430,23 @@ ServingSession::ListDeployedModels() const {
   // variant (each compiled plan binds its own weight set).
   std::map<std::string, DeployedModelInfo> by_name;
   auto fold = [&by_name](const std::string& name,
-                         const Deployment& deployment) {
+                         const PhysicalPlan& plan) {
     DeployedModelInfo& info = by_name[name];
     info.name = name;
     info.num_plans += 1;
-    const WeightFootprint& fp =
-        deployment.prepared->physical().weight_footprint();
+    const WeightFootprint& fp = plan.weight_footprint();
     info.logical_weight_bytes += fp.logical_bytes;
     info.physical_weight_bytes += fp.physical_bytes;
     info.shared_blocks += fp.shared_blocks;
     info.total_blocks += fp.total_blocks;
   };
-  for (const auto& [name, deployment] : deployments_) {
-    fold(name, *deployment);
+  for (const auto& [name, plan] : deployments_) {
+    fold(name, *plan);
   }
   for (const auto& [name, variants] : aot_plans_) {
-    for (const auto& [signature, deployment] : variants) {
+    for (const auto& [signature, plan] : variants) {
       (void)signature;
-      fold(name, *deployment);
+      fold(name, *plan);
     }
   }
   std::vector<DeployedModelInfo> out;
@@ -467,11 +455,11 @@ ServingSession::ListDeployedModels() const {
   return out;
 }
 
-Result<std::shared_ptr<ServingSession::Deployment>>
+Result<std::shared_ptr<const PhysicalPlan>>
 ServingSession::GetDeployment(const std::string& model_name,
                               int64_t batch_size) {
   // Runtime plan selection among the AoT-compiled variants: cheap
-  // re-optimization yields the signature; the matching prepared plan
+  // re-optimization yields the signature; the matching compiled plan
   // is reused without re-chunking any weights. The whole resolution
   // runs under the shared registry lock (the optimizer pass touches
   // no registry state), and the returned shared_ptr pins the chosen
@@ -531,12 +519,12 @@ Result<ExecOutput> ServingSession::PredictAtSnapshot(
           ? vis->VisibleCount(0, table->num_rows(), snapshot)
           : table->num_rows();
   if (n == 0) return Status::InvalidArgument("empty table");
-  RELSERVE_ASSIGN_OR_RETURN(std::shared_ptr<Deployment> deployment,
+  RELSERVE_ASSIGN_OR_RETURN(std::shared_ptr<const PhysicalPlan> plan,
                             GetDeployment(model_name, n));
   const int64_t width = model->sample_shape().NumElements();
 
   const bool stream_input =
-      deployment->plan.decisions[0].repr == Repr::kRelational;
+      plan->logical_plan().decisions[0].repr == Repr::kRelational;
 
   if (table->layout == TableLayout::kColumnar) {
     // Vectorized fast path: scan only the feature column (fragment-
@@ -582,7 +570,7 @@ Result<ExecOutput> ServingSession::PredictAtSnapshot(
       }
       RELSERVE_ASSIGN_OR_RETURN(std::unique_ptr<BlockStore> store,
                                 writer.Finish());
-      return HybridExecutor::RunOnStore(*deployment->prepared,
+      return HybridExecutor::RunOnStore(*plan,
                                         std::move(store), &ctx_);
     }
 
@@ -595,7 +583,7 @@ Result<ExecOutput> ServingSession::PredictAtSnapshot(
     for (int64_t d : model->sample_shape().dims()) dims.push_back(d);
     RELSERVE_ASSIGN_OR_RETURN(Tensor shaped,
                               input.Reshape(Shape(std::move(dims))));
-    return HybridExecutor::Run(*deployment->prepared, shaped, &ctx_);
+    return HybridExecutor::Run(*plan, shaped, &ctx_);
   }
 
   SeqScan scan(table->heap.get(), table->schema);
@@ -623,7 +611,7 @@ Result<ExecOutput> ServingSession::PredictAtSnapshot(
     }
     RELSERVE_ASSIGN_OR_RETURN(std::unique_ptr<BlockStore> store,
                               writer.Finish());
-    return HybridExecutor::RunOnStore(*deployment->prepared,
+    return HybridExecutor::RunOnStore(*plan,
                                       std::move(store), &ctx_);
   }
 
@@ -652,7 +640,7 @@ Result<ExecOutput> ServingSession::PredictAtSnapshot(
   for (int64_t d : model->sample_shape().dims()) dims.push_back(d);
   RELSERVE_ASSIGN_OR_RETURN(Tensor shaped,
                             input.Reshape(Shape(std::move(dims))));
-  return HybridExecutor::Run(*deployment->prepared, shaped, &ctx_);
+  return HybridExecutor::Run(*plan, shaped, &ctx_);
 }
 
 Result<ExecOutput> ServingSession::PredictBatch(
@@ -661,9 +649,9 @@ Result<ExecOutput> ServingSession::PredictBatch(
     return Status::InvalidArgument("input must have a batch dimension");
   }
   RELSERVE_ASSIGN_OR_RETURN(
-      std::shared_ptr<Deployment> deployment,
+      std::shared_ptr<const PhysicalPlan> plan,
       GetDeployment(model_name, input.shape().dim(0)));
-  return HybridExecutor::Run(*deployment->prepared, input, &ctx_);
+  return HybridExecutor::Run(*plan, input, &ctx_);
 }
 
 Status ServingSession::OffloadModel(const std::string& model_name,

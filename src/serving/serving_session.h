@@ -28,7 +28,6 @@
 #include "engine/external_runtime.h"
 #include "engine/hybrid_executor.h"
 #include "engine/physical_plan.h"
-#include "engine/prepared_model.h"
 #include "graph/model.h"
 #include "optimizer/optimizer.h"
 #include "relational/row.h"
@@ -181,9 +180,9 @@ class ServingSession {
   Status RegisterModel(Model model);
   Result<const Model*> GetModel(const std::string& name) const;
 
-  // Optimizes + prepares a model for execution. Re-deploying with a
-  // different mode/batch replaces the prepared instance. Returns the
-  // plan for inspection (EXPLAIN).
+  // Optimizes + compiles a model for execution. Re-deploying with a
+  // different mode/batch replaces the compiled plan. Returns the
+  // logical plan for inspection (EXPLAIN).
   Result<const InferencePlan*> Deploy(const std::string& model_name,
                                       ServingMode mode,
                                       int64_t batch_size);
@@ -197,7 +196,7 @@ class ServingSession {
   Status Undeploy(const std::string& model_name);
 
   // Ahead-of-time compilation (paper Sec. 2): when the model is
-  // loaded, compile one prepared plan per *distinct representation
+  // loaded, compile one physical plan per *distinct representation
   // signature* across the given batch sizes; at query time
   // PredictBatch/Predict pick the matching plan without re-preparing.
   // Returns the number of distinct plans compiled.
@@ -232,9 +231,9 @@ class ServingSession {
   }
 
   // The compiled stage pipeline of the current default deployment —
-  // what EXPLAIN ANALYZE renders. The aliasing shared_ptr keeps the
-  // whole deployment (weights included) alive while the caller reads
-  // stage stats, even across a concurrent redeploy.
+  // what EXPLAIN ANALYZE renders. The shared_ptr keeps the plan
+  // (weights included) alive while the caller reads stage stats, even
+  // across a concurrent redeploy.
   Result<std::shared_ptr<const PhysicalPlan>> DeployedPhysicalPlan(
       const std::string& model_name);
 
@@ -300,22 +299,17 @@ class ServingSession {
                                   const Tensor& input);
 
  private:
-  struct Deployment {
-    InferencePlan plan;
-    std::unique_ptr<PreparedModel> prepared;
-  };
-
   // Resolves the deployment serving `model_name` for a query of
   // `batch_size` rows: an AoT variant whose representation signature
   // matches what the optimizer would pick for that batch, else the
   // single Deploy()-ed instance. `batch_size` < 0 skips AoT matching.
   //
   // Returns a shared_ptr so an in-flight prediction keeps its
-  // deployment (and the prepared weights inside) alive even if a
+  // compiled plan (and the weights bound inside) alive even if a
   // concurrent Deploy/DeployAot replaces it mid-query — the
   // use-after-free the serving front-end would otherwise hit. The old
   // instance's arena charge is released when the last query drops it.
-  Result<std::shared_ptr<Deployment>> GetDeployment(
+  Result<std::shared_ptr<const PhysicalPlan>> GetDeployment(
       const std::string& model_name, int64_t batch_size = -1);
 
   // Fences every cache tier bound to `table_name` at `version` (a
@@ -344,9 +338,10 @@ class ServingSession {
   mutable std::shared_mutex registry_mu_;
 
   std::map<std::string, std::unique_ptr<Model>> models_;
-  std::map<std::string, std::shared_ptr<Deployment>> deployments_;
-  // AoT variants: model name -> representation signature -> deployment.
-  std::map<std::string, std::map<std::string, std::shared_ptr<Deployment>>>
+  std::map<std::string, std::shared_ptr<const PhysicalPlan>> deployments_;
+  // AoT variants: model name -> representation signature -> plan.
+  std::map<std::string,
+           std::map<std::string, std::shared_ptr<const PhysicalPlan>>>
       aot_plans_;
   std::map<std::string, ExternalRuntime*> offloaded_;
   std::map<std::string, std::unique_ptr<ColumnarTableStages>>

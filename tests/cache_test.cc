@@ -310,6 +310,46 @@ TEST(ApproxCacheTest, NearestOfSeveralWins) {
   EXPECT_FLOAT_EQ((*hit)[0], 2.0f);
 }
 
+// A fence past the newest stamp makes every entry stale: the index is
+// emptied instead of keeping graph nodes that can never hit again.
+TEST(ApproxCacheTest, FenceBeyondNewestEntryDropsEveryNode) {
+  ApproxResultCache::Config config;
+  config.max_distance = 0.5f;
+  ApproxResultCache cache(2, config);
+  constexpr int kEntries = 16;
+  for (int i = 0; i < kEntries; ++i) {
+    const float x = static_cast<float>(i);
+    ASSERT_TRUE(cache.Insert({x, x}, {x}, /*version=*/1).ok());
+  }
+  ASSERT_EQ(cache.size(), kEntries);
+  cache.Invalidate(2);
+  EXPECT_EQ(cache.size(), 0);
+  EXPECT_EQ(cache.stats().invalidations.load(), kEntries);
+  EXPECT_FALSE(cache.Lookup({3.0f, 3.0f}).has_value());
+
+  ASSERT_TRUE(cache.Insert({3.0f, 3.0f}, {7.0f}, /*version=*/2).ok());
+  auto hit = cache.Lookup({3.0f, 3.0f});
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_FLOAT_EQ((*hit)[0], 7.0f);
+}
+
+TEST(ApproxCacheTest, OneLiveEntryKeepsTheIndex) {
+  ApproxResultCache::Config config;
+  config.max_distance = 0.5f;
+  ApproxResultCache cache(1, config);
+  ASSERT_TRUE(cache.Insert({0.0f}, {1.0f}, /*version=*/1).ok());
+  ASSERT_TRUE(cache.Insert({5.0f}, {2.0f}, /*version=*/3).ok());
+  cache.Invalidate(3);  // the stamp-3 entry is still valid
+  EXPECT_EQ(cache.size(), 2);
+  EXPECT_EQ(cache.stats().invalidations.load(), 0);
+  auto live = cache.Lookup({5.0f});
+  ASSERT_TRUE(live.has_value());
+  EXPECT_FLOAT_EQ((*live)[0], 2.0f);
+  // The fenced node stays and is skipped at lookup.
+  EXPECT_FALSE(cache.Lookup({0.0f}).has_value());
+  EXPECT_EQ(cache.stats().invalidations.load(), 1);
+}
+
 TEST(PolicyTest, TightClustersPassLooseSlaFails) {
   // Two well-separated clusters with distinct predictions; cached
   // answers within a cluster agree, so accuracy is high.

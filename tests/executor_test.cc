@@ -4,7 +4,6 @@
 
 #include "engine/block_ops.h"
 #include "engine/hybrid_executor.h"
-#include "engine/prepared_model.h"
 #include "graph/model.h"
 #include "graph/model_zoo.h"
 #include "kernels/kernels.h"
@@ -14,14 +13,6 @@
 
 namespace relserve {
 namespace {
-
-InferencePlan UniformPlan(const Model& model, Repr repr) {
-  InferencePlan plan;
-  for (const Node& node : model.nodes()) {
-    plan.decisions.push_back(NodeDecision{node.id, repr, 0});
-  }
-  return plan;
-}
 
 class ExecutorTest : public ::testing::Test {
  protected:
@@ -36,10 +27,10 @@ class ExecutorTest : public ::testing::Test {
   Result<Tensor> RunWithPlan(const Model& model, InferencePlan plan,
                              const Tensor& input) {
     RELSERVE_ASSIGN_OR_RETURN(
-        PreparedModel prepared,
-        PreparedModel::Prepare(&model, std::move(plan), &ctx_));
+        std::unique_ptr<PhysicalPlan> compiled,
+        PhysicalPlan::Compile(&model, std::move(plan), &ctx_));
     RELSERVE_ASSIGN_OR_RETURN(
-        ExecOutput out, HybridExecutor::Run(prepared, input, &ctx_));
+        ExecOutput out, HybridExecutor::Run(*compiled, input, &ctx_));
     return out.ToTensor(&ctx_);
   }
 
@@ -48,11 +39,10 @@ class ExecutorTest : public ::testing::Test {
     PhysicalPlan::Options options;
     options.fuse_elementwise = fuse;
     RELSERVE_ASSIGN_OR_RETURN(
-        PreparedModel prepared,
-        PreparedModel::Prepare(&model, std::move(plan), &ctx_,
-                               options));
+        std::unique_ptr<PhysicalPlan> compiled,
+        PhysicalPlan::Compile(&model, std::move(plan), &ctx_, options));
     RELSERVE_ASSIGN_OR_RETURN(
-        ExecOutput out, HybridExecutor::Run(prepared, input, &ctx_));
+        ExecOutput out, HybridExecutor::Run(*compiled, input, &ctx_));
     return out.ToTensor(&ctx_);
   }
 
@@ -68,7 +58,7 @@ TEST_F(ExecutorTest, UdfFfnnMatchesManualComputation) {
   auto input = workloads::GenBatch(2, Shape{3}, 9);
   ASSERT_TRUE(input.ok());
 
-  auto got = RunWithPlan(*model, UniformPlan(*model, Repr::kUdf), *input);
+  auto got = RunWithPlan(*model, MakeForcedPlan(*model, Repr::kUdf, 0), *input);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->shape(), (Shape{2, 2}));
 
@@ -91,8 +81,8 @@ TEST_F(ExecutorTest, RelationalFfnnMatchesUdf) {
   ASSERT_TRUE(model.ok());
   auto input = workloads::GenBatch(17, Shape{20}, 9);
   ASSERT_TRUE(input.ok());
-  auto udf = RunWithPlan(*model, UniformPlan(*model, Repr::kUdf), *input);
-  auto rel = RunWithPlan(*model, UniformPlan(*model, Repr::kRelational),
+  auto udf = RunWithPlan(*model, MakeForcedPlan(*model, Repr::kUdf, 0), *input);
+  auto rel = RunWithPlan(*model, MakeForcedPlan(*model, Repr::kRelational, 0),
                          *input);
   ASSERT_TRUE(udf.ok());
   ASSERT_TRUE(rel.ok());
@@ -106,11 +96,11 @@ TEST_F(ExecutorTest, MixedPlanMatchesUdf) {
   ASSERT_TRUE(input.ok());
   // First layer relational, rest UDF: exercises the blocked->whole
   // transition mid-model.
-  InferencePlan mixed = UniformPlan(*model, Repr::kUdf);
+  InferencePlan mixed = MakeForcedPlan(*model, Repr::kUdf, 0);
   mixed.decisions[0].repr = Repr::kRelational;
   mixed.decisions[1].repr = Repr::kRelational;
   mixed.decisions[2].repr = Repr::kRelational;
-  auto udf = RunWithPlan(*model, UniformPlan(*model, Repr::kUdf), *input);
+  auto udf = RunWithPlan(*model, MakeForcedPlan(*model, Repr::kUdf, 0), *input);
   auto got = RunWithPlan(*model, std::move(mixed), *input);
   ASSERT_TRUE(udf.ok());
   ASSERT_TRUE(got.ok());
@@ -124,8 +114,8 @@ TEST_F(ExecutorTest, UdfCnnMatchesRelationalCnn) {
   ASSERT_TRUE(model.ok());
   auto input = workloads::GenBatch(2, Shape{6, 6, 2}, 11);
   ASSERT_TRUE(input.ok());
-  auto udf = RunWithPlan(*model, UniformPlan(*model, Repr::kUdf), *input);
-  auto rel = RunWithPlan(*model, UniformPlan(*model, Repr::kRelational),
+  auto udf = RunWithPlan(*model, MakeForcedPlan(*model, Repr::kUdf, 0), *input);
+  auto rel = RunWithPlan(*model, MakeForcedPlan(*model, Repr::kRelational, 0),
                          *input);
   ASSERT_TRUE(udf.ok());
   ASSERT_TRUE(rel.ok());
@@ -141,7 +131,7 @@ TEST_F(ExecutorTest, CnnWithPoolAndFcRuns) {
   ASSERT_TRUE(model.ok());
   auto input = workloads::GenBatch(3, Shape{28, 28, 1}, 8);
   ASSERT_TRUE(input.ok());
-  auto out = RunWithPlan(*model, UniformPlan(*model, Repr::kUdf), *input);
+  auto out = RunWithPlan(*model, MakeForcedPlan(*model, Repr::kUdf, 0), *input);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->shape(), (Shape{3, 10}));
   // Softmax rows sum to 1.
@@ -163,13 +153,13 @@ TEST_F(ExecutorTest, UdfOomsWhenArenaTooSmallButRelationalSucceeds) {
   MemoryTracker small("small", 40 * 1024);
   ExecContext tight = ctx_;
   tight.tracker = &small;
-  auto udf_prepared = PreparedModel::Prepare(
-      &*model, UniformPlan(*model, Repr::kUdf), &tight);
+  auto udf_compiled = PhysicalPlan::Compile(
+      &*model, MakeForcedPlan(*model, Repr::kUdf, 0), &tight);
   bool oomed = false;
-  if (!udf_prepared.ok()) {
-    oomed = udf_prepared.status().IsOutOfMemory();
+  if (!udf_compiled.ok()) {
+    oomed = udf_compiled.status().IsOutOfMemory();
   } else {
-    auto out = HybridExecutor::Run(*udf_prepared, *input, &tight);
+    auto out = HybridExecutor::Run(**udf_compiled, *input, &tight);
     oomed = !out.ok() && out.status().IsOutOfMemory();
   }
   EXPECT_TRUE(oomed);
@@ -179,10 +169,10 @@ TEST_F(ExecutorTest, UdfOomsWhenArenaTooSmallButRelationalSucceeds) {
   MemoryTracker small2("small2", 40 * 1024);
   ExecContext tight2 = ctx_;
   tight2.tracker = &small2;
-  auto rel_prepared = PreparedModel::Prepare(
-      &*model, UniformPlan(*model, Repr::kRelational), &tight2);
-  ASSERT_TRUE(rel_prepared.ok()) << rel_prepared.status();
-  auto out = HybridExecutor::Run(*rel_prepared, *input, &tight2);
+  auto rel_compiled = PhysicalPlan::Compile(
+      &*model, MakeForcedPlan(*model, Repr::kRelational, 0), &tight2);
+  ASSERT_TRUE(rel_compiled.ok()) << rel_compiled.status();
+  auto out = HybridExecutor::Run(**rel_compiled, *input, &tight2);
   ASSERT_TRUE(out.ok()) << out.status();
   auto tensor = out->ToTensor(&ctx_);  // assemble via the big arena
   ASSERT_TRUE(tensor.ok());
@@ -194,11 +184,11 @@ TEST_F(ExecutorTest, RunOnStoreMatchesRunOnTensor) {
   ASSERT_TRUE(model.ok());
   auto input = workloads::GenBatch(9, Shape{10}, 2);
   ASSERT_TRUE(input.ok());
-  auto plan = UniformPlan(*model, Repr::kRelational);
-  auto prepared = PreparedModel::Prepare(&*model, plan, &ctx_);
-  ASSERT_TRUE(prepared.ok());
+  auto plan = MakeForcedPlan(*model, Repr::kRelational, 0);
+  auto compiled = PhysicalPlan::Compile(&*model, plan, &ctx_);
+  ASSERT_TRUE(compiled.ok());
 
-  auto from_tensor = HybridExecutor::Run(*prepared, *input, &ctx_);
+  auto from_tensor = HybridExecutor::Run(**compiled, *input, &ctx_);
   ASSERT_TRUE(from_tensor.ok());
   auto expected = from_tensor->ToTensor(&ctx_);
   ASSERT_TRUE(expected.ok());
@@ -211,7 +201,7 @@ TEST_F(ExecutorTest, RunOnStoreMatchesRunOnTensor) {
   auto store = writer->Finish();
   ASSERT_TRUE(store.ok());
   auto from_store =
-      HybridExecutor::RunOnStore(*prepared, std::move(*store), &ctx_);
+      HybridExecutor::RunOnStore(**compiled, std::move(*store), &ctx_);
   ASSERT_TRUE(from_store.ok());
   auto got = from_store->ToTensor(&ctx_);
   ASSERT_TRUE(got.ok());
@@ -226,7 +216,7 @@ TEST_F(ExecutorTest, InputTensorIsNotMutated) {
   auto before = input->Clone();
   ASSERT_TRUE(before.ok());
   ASSERT_TRUE(
-      RunWithPlan(*model, UniformPlan(*model, Repr::kUdf), *input).ok());
+      RunWithPlan(*model, MakeForcedPlan(*model, Repr::kUdf, 0), *input).ok());
   EXPECT_FLOAT_EQ(input->MaxAbsDiff(*before), 0.0f);
 }
 
@@ -236,13 +226,13 @@ TEST_F(ExecutorTest, ArenaFullyReleasedAfterQuery) {
   auto input = workloads::GenBatch(4, Shape{8}, 5);
   ASSERT_TRUE(input.ok());
   {
-    auto prepared = PreparedModel::Prepare(
-        &*model, UniformPlan(*model, Repr::kUdf), &ctx_);
-    ASSERT_TRUE(prepared.ok());
-    auto out = HybridExecutor::Run(*prepared, *input, &ctx_);
+    auto compiled = PhysicalPlan::Compile(
+        &*model, MakeForcedPlan(*model, Repr::kUdf, 0), &ctx_);
+    ASSERT_TRUE(compiled.ok());
+    auto out = HybridExecutor::Run(**compiled, *input, &ctx_);
     ASSERT_TRUE(out.ok());
   }
-  // Prepared weights and all intermediates are out of scope.
+  // Compiled weights and all intermediates are out of scope.
   EXPECT_EQ(tracker_.used_bytes(), 0);
 }
 
@@ -255,9 +245,9 @@ TEST_F(ExecutorTest, FusedMatchesUnfusedBitIdenticalUdf) {
   ASSERT_TRUE(model.ok());
   auto input = workloads::GenBatch(9, Shape{13}, 21);
   ASSERT_TRUE(input.ok());
-  auto fused = RunWithOptions(*model, UniformPlan(*model, Repr::kUdf),
+  auto fused = RunWithOptions(*model, MakeForcedPlan(*model, Repr::kUdf, 0),
                               *input, /*fuse=*/true);
-  auto plain = RunWithOptions(*model, UniformPlan(*model, Repr::kUdf),
+  auto plain = RunWithOptions(*model, MakeForcedPlan(*model, Repr::kUdf, 0),
                               *input, /*fuse=*/false);
   ASSERT_TRUE(fused.ok());
   ASSERT_TRUE(plain.ok());
@@ -272,10 +262,10 @@ TEST_F(ExecutorTest, FusedMatchesUnfusedBitIdenticalRelational) {
   auto input = workloads::GenBatch(9, Shape{13}, 21);
   ASSERT_TRUE(input.ok());
   auto fused = RunWithOptions(
-      *model, UniformPlan(*model, Repr::kRelational), *input,
+      *model, MakeForcedPlan(*model, Repr::kRelational, 0), *input,
       /*fuse=*/true);
   auto plain = RunWithOptions(
-      *model, UniformPlan(*model, Repr::kRelational), *input,
+      *model, MakeForcedPlan(*model, Repr::kRelational, 0), *input,
       /*fuse=*/false);
   ASSERT_TRUE(fused.ok());
   ASSERT_TRUE(plain.ok());
@@ -289,7 +279,7 @@ TEST_F(ExecutorTest, FusedMatchesUnfusedBitIdenticalMixed) {
   ASSERT_TRUE(input.ok());
   // First layer relational, rest UDF: fusion must stay bit-exact
   // across the repr transition too.
-  InferencePlan mixed = UniformPlan(*model, Repr::kUdf);
+  InferencePlan mixed = MakeForcedPlan(*model, Repr::kUdf, 0);
   mixed.decisions[0].repr = Repr::kRelational;
   mixed.decisions[1].repr = Repr::kRelational;
   mixed.decisions[2].repr = Repr::kRelational;
@@ -312,9 +302,9 @@ TEST_F(ExecutorTest, FusedMatchesUnfusedBitIdenticalConv) {
   auto input = workloads::GenBatch(3, Shape{7, 7, 3}, 13);
   ASSERT_TRUE(input.ok());
   for (Repr repr : {Repr::kUdf, Repr::kRelational}) {
-    auto fused = RunWithOptions(*model, UniformPlan(*model, repr),
+    auto fused = RunWithOptions(*model, MakeForcedPlan(*model, repr, 0),
                                 *input, /*fuse=*/true);
-    auto plain = RunWithOptions(*model, UniformPlan(*model, repr),
+    auto plain = RunWithOptions(*model, MakeForcedPlan(*model, repr, 0),
                                 *input, /*fuse=*/false);
     ASSERT_TRUE(fused.ok()) << fused.status();
     ASSERT_TRUE(plain.ok()) << plain.status();
@@ -327,13 +317,13 @@ TEST_F(ExecutorTest, StageStatsAccumulateAcrossRuns) {
   ASSERT_TRUE(model.ok());
   auto input = workloads::GenBatch(2, Shape{4}, 3);
   ASSERT_TRUE(input.ok());
-  auto prepared = PreparedModel::Prepare(
-      &*model, UniformPlan(*model, Repr::kUdf), &ctx_);
-  ASSERT_TRUE(prepared.ok());
+  auto compiled = PhysicalPlan::Compile(
+      &*model, MakeForcedPlan(*model, Repr::kUdf, 0), &ctx_);
+  ASSERT_TRUE(compiled.ok());
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(HybridExecutor::Run(*prepared, *input, &ctx_).ok());
+    ASSERT_TRUE(HybridExecutor::Run(**compiled, *input, &ctx_).ok());
   }
-  for (const auto& stage : prepared->physical().stages()) {
+  for (const auto& stage : (*compiled)->stages()) {
     EXPECT_EQ(stage->stats.invocations.load(), 3);
     EXPECT_EQ(stage->stats.rows.load(), 6);
   }

@@ -7,7 +7,6 @@
 
 #include "engine/hybrid_executor.h"
 #include "engine/physical_plan.h"
-#include "engine/prepared_model.h"
 #include "graph/model.h"
 #include "optimizer/optimizer.h"
 #include "storage/buffer_pool.h"
@@ -132,15 +131,14 @@ TEST_F(PlanTextTest, UnfusedPhysicalGolden) {
 TEST_F(PlanTextTest, AnalyzeRenderingCarriesStageStats) {
   auto model = BuildFFNN("m", {4, 3, 2}, 7);
   ASSERT_TRUE(model.ok());
-  auto prepared = PreparedModel::Prepare(
-      &*model, MakeForcedPlan(*model, Repr::kUdf, 2), &ctx_);
-  ASSERT_TRUE(prepared.ok());
+  auto plan = Compile(*model, MakeForcedPlan(*model, Repr::kUdf, 2));
+  ASSERT_TRUE(plan.ok());
   auto input = workloads::GenBatch(2, Shape{4}, 3);
   ASSERT_TRUE(input.ok());
-  auto out = HybridExecutor::Run(*prepared, *input, &ctx_);
+  auto out = HybridExecutor::Run(**plan, *input, &ctx_);
   ASSERT_TRUE(out.ok());
 
-  const std::string text = prepared->physical().ToString(true);
+  const std::string text = (*plan)->ToString(true);
   EXPECT_NE(text.find("calls=1"), std::string::npos) << text;
   EXPECT_NE(text.find("rows=2"), std::string::npos) << text;
   EXPECT_NE(text.find("avg_us="), std::string::npos) << text;

@@ -44,7 +44,7 @@ class ServingConcurrencyTest : public ::testing::Test {
     auto model = BuildFFNN(name, {16, 32, 4}, 3);
     ASSERT_TRUE(model.ok());
     ASSERT_TRUE(session_.RegisterModel(std::move(*model)).ok());
-    // One plain Deploy: every micro-batch size runs the same prepared
+    // One plain Deploy: every micro-batch size runs the same compiled
     // plan, which is what makes coalescing bit-transparent.
     ASSERT_TRUE(session_.Deploy(name, ServingMode::kForceUdf, 8).ok());
   }
