@@ -692,24 +692,31 @@ Result<ColumnarScanOutput> ColumnarScan(const ColumnarTable& table,
     }
   };
 
+  // Each participant holds one pinned or latched frame while it reads
+  // a column page, so more concurrent readers than frames would leave
+  // FetchPage without a victim on a pool that is only briefly full.
+  const int64_t frames = table.pool_frames();
   const bool parallel =
       opts.pool != nullptr && !opts.force_serial && nfrags > 1 &&
-      opts.limit < 0 &&
+      opts.limit < 0 && frames >= 2 &&
       ScanCostModel::ShouldParallelize(
           table.num_rows(), static_cast<int64_t>(needed.size()),
           opts.pool->num_threads());
   if (parallel) {
     // Morsel = fragment: each morsel decodes whole fragments, grains
-    // grouped by the cost model's per-fragment work estimate.
+    // grouped by the cost model's per-fragment work estimate and
+    // widened so there are at most `frames` morsels (hence readers).
+    const int64_t work_hint = ScanCostModel::FragmentWorkHint(
+        table.fragment_rows(), static_cast<int64_t>(needed.size()));
+    const int64_t grain = std::max(
+        ThreadPool::kMinWorkPerMorsel / std::max<int64_t>(work_hint, 1),
+        (nfrags + frames - 1) / frames);
     opts.pool->ParallelFor(
         0, nfrags,
         [&](int64_t lo, int64_t hi) {
           for (int64_t f = lo; f < hi; ++f) scan_fragment(f);
         },
-        /*grain=*/0,
-        ScanCostModel::FragmentWorkHint(
-            table.fragment_rows(),
-            static_cast<int64_t>(needed.size())));
+        grain);
   } else {
     int64_t emitted = 0;
     for (int64_t f = 0; f < nfrags; ++f) {

@@ -59,7 +59,9 @@ struct ColumnarScanOptions {
   // Output columns as table indices; empty = all columns in order.
   std::vector<int> projection;
   // Fragment-parallel scan when a pool is given and the cost model
-  // says the table is big enough.
+  // says the table is big enough. Fan-out is capped at the table's
+  // buffer-pool frame count (every participant holds one pinned or
+  // latched frame while it reads), so a 1-frame pool scans serially.
   ThreadPool* pool = nullptr;
   bool force_serial = false;
   // Cap on emitted rows (applied after the filter); -1 = no cap.

@@ -79,6 +79,9 @@ class ColumnarTable {
     return num_rows_.load(std::memory_order_acquire);
   }
   int64_t fragment_rows() const { return fragment_rows_; }
+  // Frames of the backing buffer pool: the most fragment readers that
+  // can hold a page at once (each pins or latches one frame).
+  int64_t pool_frames() const { return pool_->capacity_pages(); }
   // Sealed fragments plus the open tail when it holds rows.
   int64_t num_fragments() const;
   int64_t FragmentRowCount(int64_t f) const;

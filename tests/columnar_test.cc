@@ -8,6 +8,7 @@
 
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "engine/physical_plan.h"
@@ -439,6 +440,38 @@ TEST(ParallelScanTest, ParallelMatchesSerial) {
   ExpectSameRows(serial->ToRows(), t.RowPath(pred));
   EXPECT_EQ(parallel->rows_scanned, 20000);
   EXPECT_EQ(serial->rows_scanned, 20000);
+}
+
+// Each scan participant holds one frame while it reads, so a scan with
+// more participants than frames fails FetchPage on a briefly full pool.
+TEST(ParallelScanTest, FanOutNeverExceedsBufferPoolFrames) {
+  for (const int64_t frames : {int64_t{1}, int64_t{2}}) {
+    SCOPED_TRACE("frames=" + std::to_string(frames));
+    ScanCostModel::ResetForTest();
+    DiskManager disk;
+    BufferPool bp(&disk, frames);
+    ColumnarTable table(&bp, TestSchema(), /*fragment_rows=*/512);
+    for (int64_t i = 0; i < 20000; ++i) {
+      ASSERT_TRUE(table.AppendRow(TestRow(i)).ok());
+    }
+    ColumnarScanOptions ser;
+    ser.force_serial = true;
+    auto serial = ColumnarScan(table, ser);
+    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+    const std::vector<Row> expect = serial->ToRows();
+    ASSERT_EQ(expect.size(), 20000u);
+
+    ThreadPool pool(4);
+    ColumnarScanOptions par;
+    par.pool = &pool;
+    for (int run = 0; run < 50; ++run) {
+      auto out = ColumnarScan(table, par);
+      ASSERT_TRUE(out.ok()) << "run " << run << ": "
+                            << out.status().ToString();
+      EXPECT_EQ(out->parallel, frames > 1) << "run " << run;
+      ExpectSameRows(out->ToRows(), expect);
+    }
+  }
 }
 
 TEST(ParallelScanTest, TinyTableStaysSerial) {
